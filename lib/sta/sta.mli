@@ -11,7 +11,15 @@
     Violating *paths* (not just endpoints) are recovered by a backward
     depth-first search with arrival-time pruning, capped to keep enumeration
     tractable; Vega's Error Lifting keeps one representative path per unique
-    (startpoint, endpoint) pair, mirroring Section 5.2.1. *)
+    (startpoint, endpoint) pair, mirroring Section 5.2.1.
+
+    Every query compiles the netlist and its timing source into flat
+    arrays (one [cell_delay] call per cell, one [clock_arrival_ps] call
+    per DFF) and runs on them; no result is kept across calls.  Queries
+    bump the telemetry counters [sta.sweeps] ({!analyze} and
+    {!endpoint_pairs} calls), [sta.cone_nets] (nets over all per-endpoint
+    DP cones) and [sta.delay_fills] ([cell_delay] calls), and open no
+    span. *)
 
 type startpoint =
   | From_dff of int  (** launching DFF cell id *)

@@ -331,6 +331,314 @@ let prop_monte_carlo_paths_bounded =
          | None -> true  (* path from an unconstrained source *)
          | Some arrival -> arrival <= bound +. 1e-6))
 
+(* ---------- compiled core vs the reference oracle ---------- *)
+
+(* [Sta_oracle] holds the implementation the compiled core replaced.  The
+   two must agree bit for bit: the same pair list in the same order with
+   slacks equal under [Int64.bits_of_float], the same extremal path per
+   pair, the same report, and the same sequence of [skip] calls. *)
+
+module B = Netlist.Builder
+
+let comb_kinds = Array.of_list Cell.Kind.combinational
+
+(* Random sequential netlist over [domains] clock domains: input ports, a
+   tie cell, a comb/DFF soup whose picks may repeat a net on two pins,
+   DFF feedback (a D pin rewired to a later net), and a register chain so
+   DFF-to-DFF pairs always exist. *)
+let random_netlist rng ~domains =
+  let b = B.create "sta_rand" in
+  let pool = ref [] in
+  for i = 0 to Random.State.int rng 3 do
+    let w = 1 + Random.State.int rng 4 in
+    pool := Array.to_list (B.add_input b (Printf.sprintf "in%d" i) w) @ !pool
+  done;
+  if Random.State.bool rng then
+    pool := B.add_cell b (if Random.State.bool rng then Cell.Kind.Tie0 else Cell.Kind.Tie1) [||] :: !pool;
+  let pick () = List.nth !pool (Random.State.int rng (List.length !pool)) in
+  let domain () = Random.State.int rng domains in
+  let regs = ref [] in
+  for _ = 1 to 6 + Random.State.int rng 40 do
+    let out =
+      if Random.State.int rng 4 = 0 then begin
+        let id, q =
+          B.add_cell_with_id ~clock_domain:(domain ()) b Cell.Kind.Dff [| pick () |]
+        in
+        regs := id :: !regs;
+        q
+      end
+      else
+        let k = comb_kinds.(Random.State.int rng (Array.length comb_kinds)) in
+        B.add_cell b k (Array.init (Cell.Kind.arity k) (fun _ -> pick ()))
+    in
+    pool := out :: !pool
+  done;
+  List.iter
+    (fun id -> if Random.State.int rng 3 = 0 then B.rewire_input b ~cell_id:id ~pin:0 (pick ()))
+    !regs;
+  let chain = ref (pick ()) in
+  for _ = 1 to 1 + Random.State.int rng 3 do
+    chain := B.add_cell ~clock_domain:(domain ()) b Cell.Kind.Dff [| !chain |]
+  done;
+  B.add_output b "chain" [| !chain |];
+  B.add_output b "out" (Array.init (1 + Random.State.int rng 3) (fun _ -> pick ()));
+  B.finish b
+
+let bits_of_pairs pairs = List.map (fun (s, e, c, sl) -> (s, e, c, Int64.bits_of_float sl)) pairs
+
+let bits_of_path =
+  Option.map (fun (p : Sta.path) ->
+      ( p.Sta.start,
+        p.Sta.finish,
+        p.Sta.check,
+        p.Sta.through,
+        Int64.bits_of_float p.Sta.delay_ps,
+        Int64.bits_of_float p.Sta.slack_ps ))
+
+(* Marshalled without sharing, two reports are equal byte for byte iff
+   they have the same structure and every float has the same bits. *)
+let report_bytes (r : Sta.report) = Marshal.to_string r [ Marshal.No_sharing ]
+
+(* Every output of the core against the oracle on one netlist, timing
+   source and period; [Error] names the first disagreement. *)
+let differential ?(skip_seed = 0) ?(path_pairs = `All) ~constrain_inputs ~timing ~clock_period_ps
+    nl =
+  let calls = ref [] in
+  let skip s e c =
+    calls := (s, e, c) :: !calls;
+    Hashtbl.hash (skip_seed, s, e, c) mod 4 = 0
+  in
+  let with_skip f =
+    calls := [];
+    let r = f skip in
+    (r, List.rev !calls)
+  in
+  let core = Sta.endpoint_pairs ~constrain_inputs ~timing ~clock_period_ps nl in
+  let oracle = Sta_oracle.endpoint_pairs ~constrain_inputs ~timing ~clock_period_ps nl in
+  let core_skip, core_calls =
+    with_skip (fun skip -> Sta.violating_pairs ~constrain_inputs ~skip ~timing ~clock_period_ps nl)
+  in
+  let oracle_skip, oracle_calls =
+    with_skip (fun skip ->
+        Sta_oracle.violating_pairs ~constrain_inputs ~skip ~timing ~clock_period_ps nl)
+  in
+  let cap = 1 + Hashtbl.hash (skip_seed, "cap") mod 40 in
+  let same_report max_violating_paths =
+    report_bytes
+      (Sta.analyze ~constrain_inputs ?max_violating_paths ~timing ~clock_period_ps nl)
+    = report_bytes
+        (Sta_oracle.analyze ~constrain_inputs ?max_violating_paths ~timing ~clock_period_ps nl)
+  in
+  let queries =
+    match path_pairs with
+    | `All ->
+      (* every connected pair, plus unconnected and unconstrained ones *)
+      let extra =
+        List.concat_map
+          (fun ep ->
+            [
+              (Sta.From_dff ep, Sta.At_dff ep, Sta.Setup);
+              (Sta.From_input ("in0", 0), Sta.At_dff ep, Sta.Hold);
+            ])
+          (Netlist.dffs nl)
+      in
+      List.map (fun (s, e, c, _) -> (s, e, c)) core @ extra
+    | `Every k -> List.filteri (fun i _ -> i mod k = 0) (List.map (fun (s, e, c, _) -> (s, e, c)) core)
+  in
+  let path_mismatch =
+    List.find_opt
+      (fun (s, e, c) ->
+        bits_of_path (Sta.pair_path ~constrain_inputs ~timing ~clock_period_ps nl s e c)
+        <> bits_of_path (Sta_oracle.pair_path ~constrain_inputs ~timing ~clock_period_ps nl s e c))
+      queries
+  in
+  if bits_of_pairs core <> bits_of_pairs oracle then Error "endpoint_pairs differ"
+  else if bits_of_pairs core_skip <> bits_of_pairs oracle_skip then
+    Error "violating_pairs with skip differ"
+  else if core_calls <> oracle_calls then Error "skip called differently"
+  else if not (same_report None) then Error "analyze reports differ"
+  else if not (same_report (Some cap)) then Error "capped analyze reports differ"
+  else
+    match path_mismatch with
+    | Some (s, e, _) ->
+      Error
+        (Printf.sprintf "pair_path differs on %s -> %s" (Sta.describe_startpoint nl s)
+           (Sta.describe_endpoint nl e))
+    | None -> Ok ()
+
+let prop_core_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:500 ~name:"compiled core bit-identical to the oracle"
+       (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+       (fun seed ->
+         let rng = Random.State.make [| seed; 0x57a |] in
+         let domains = 1 + Random.State.int rng 2 in
+         let nl = random_netlist rng ~domains in
+         let clock_tree =
+           if domains = 2 then
+             Clock_tree.two_domain_gated
+               ~leaf_buffers:(1 + Random.State.int rng 20)
+               ~sp_gated:(Random.State.float rng 1.0) ()
+           else Clock_tree.single_domain
+         in
+         let sp = Array.init (Netlist.num_nets nl) (fun _ -> Random.State.float rng 1.0) in
+         let toggle = Array.init (Netlist.num_nets nl) (fun _ -> Random.State.float rng 1.0) in
+         let input_arrival_ps = Random.State.float rng 300.0 in
+         let fresh =
+           {
+             (Sta.fresh_timing ~derate:(1.0 +. Random.State.float rng 0.1) ~clock_tree
+                Cell.Library.c28)
+             with
+             Sta.input_arrival_ps;
+           }
+         in
+         let aged =
+           {
+             (Sta.aged_timing ~clock_tree
+                ?toggle_of_net:(if Random.State.bool rng then Some (fun n -> toggle.(n)) else None)
+                ~sp_of_net:(fun n -> sp.(n))
+                ~years:(Random.State.float rng 10.0) aglib_c28)
+             with
+             Sta.input_arrival_ps;
+           }
+         in
+         (* a period near a random pair's setup slack: some pairs violate *)
+         let clock_period_ps =
+           match Sta_oracle.endpoint_pairs ~timing:fresh ~clock_period_ps:1000.0 nl with
+           | [] -> 1000.0
+           | pairs ->
+             let _, _, _, s = List.nth pairs (Random.State.int rng (List.length pairs)) in
+             1000.0 -. s +. Random.State.float rng 40.0 -. 20.0
+         in
+         List.for_all
+           (fun (timing, constrain_inputs) ->
+             match
+               differential ~skip_seed:seed ~constrain_inputs ~timing ~clock_period_ps nl
+             with
+             | Ok () -> true
+             | Error msg -> QCheck.Test.fail_reportf "seed %d: %s" seed msg)
+           [ (fresh, false); (fresh, true); (aged, false); (aged, true) ]))
+
+(* The paper-scale corner: ALU16 and FPU16 aged ten years under the gated
+   two-domain clock tree, clocked 0.5% above the fresh critical path. *)
+let test_core_matches_oracle_fixed () =
+  let clock_tree = Clock_tree.two_domain_gated ~sp_gated:0.05 () in
+  let sp_of_net n = 0.1 +. (0.8 *. float_of_int (n * 2654435761 land 1023) /. 1023.0) in
+  List.iter
+    (fun (name, nl) ->
+      let fresh = Sta.fresh_timing ~clock_tree Cell.Library.c28 in
+      let probe = Sta_oracle.analyze ~timing:fresh ~clock_period_ps:1e9 nl in
+      let crit =
+        List.fold_left
+          (fun acc (e : Sta.endpoint_slack) -> Float.max acc (1e9 -. e.Sta.setup_slack_ps))
+          0.0 probe.Sta.endpoint_slacks
+      in
+      let timing = Sta.aged_timing ~clock_tree ~sp_of_net ~years:10.0 aglib_c28 in
+      let clock_period_ps = crit *. 1.005 in
+      let violating = Sta.violating_pairs ~timing ~clock_period_ps nl in
+      Alcotest.(check bool) (name ^ " has aging-prone pairs") true (violating <> []);
+      List.iter
+        (fun constrain_inputs ->
+          match
+            differential ~path_pairs:(`Every 7) ~constrain_inputs ~timing ~clock_period_ps nl
+          with
+          | Ok () -> ()
+          | Error msg -> Alcotest.failf "%s: %s" name msg)
+        [ false; true ];
+      List.iter
+        (fun (s, e, c, _) ->
+          Alcotest.(check bool)
+            (name ^ " violating pair path") true
+            (bits_of_path (Sta.pair_path ~timing ~clock_period_ps nl s e c)
+            = bits_of_path (Sta_oracle.pair_path ~timing ~clock_period_ps nl s e c)))
+        violating)
+    [ ("alu16", Alu.netlist ~width:16 ()); ("fpu16", Fpu.netlist ()) ]
+
+(* ---------- allocation and telemetry cost of a sweep ---------- *)
+
+let alloc_of f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* One aged ALU8 sweep allocates at most 16 words per net, cell and
+   returned pair (it measures about 9): one [cell_delay] record per cell,
+   the per-DFF startpoints, and the returned tuples.  Allocating per
+   visited edge (a [Cell.timing] record, a boxed tail) or a [Hashtbl] per
+   endpoint, as the oracle does, breaks the bound.  The [sta.*] counters
+   cost no allocation whether or not telemetry records. *)
+let test_sweep_allocation () =
+  let nl = Alu.netlist ~width:8 () in
+  let timing =
+    Sta.aged_timing
+      ~clock_tree:(Clock_tree.two_domain_gated ~sp_gated:0.05 ())
+      ~sp_of_net:(fun _ -> 0.3) ~years:10.0 aglib_c28
+  in
+  let clock_period_ps = 1300.0 in
+  let pairs = ref [] in
+  let sweep () = pairs := Sta.endpoint_pairs ~timing ~clock_period_ps nl in
+  let oracle_sweep () = pairs := Sta_oracle.endpoint_pairs ~timing ~clock_period_ps nl in
+  Telemetry.disable ();
+  sweep ();
+  let disabled = alloc_of sweep in
+  let size = Netlist.num_nets nl + Netlist.num_cells nl + List.length !pairs in
+  let bound = float_of_int (16 * size) in
+  Alcotest.(check bool)
+    (Printf.sprintf "sweep allocates %.0f words <= 16 * %d" disabled size)
+    true (disabled <= bound);
+  Alcotest.(check bool) "the oracle breaks the bound" true (alloc_of oracle_sweep > 10.0 *. bound);
+  Telemetry.enable ~clock:(Telemetry.Clock.virtual_ ()) ();
+  let enabled = alloc_of sweep in
+  let snap = Telemetry.snapshot () in
+  Telemetry.disable ();
+  Alcotest.(check (float 0.0)) "enabled sweep allocates exactly as much as disabled" disabled
+    enabled;
+  let counter name =
+    match
+      List.find_opt (fun c -> c.Telemetry.Counter.c_name = name) snap.Telemetry.ss_counters
+    with
+    | Some c -> c.Telemetry.Counter.c_value
+    | None -> 0
+  in
+  Alcotest.(check int) "one sweep counted" 1 (counter "sta.sweeps");
+  Alcotest.(check bool) "cones counted" true (counter "sta.cone_nets" > 0);
+  Alcotest.(check bool) "at most one delay fill per cell" true
+    (counter "sta.delay_fills" > 0 && counter "sta.delay_fills" <= Netlist.num_cells nl);
+  (* every pair skipped: no cone is built and no delay is filled *)
+  Telemetry.enable ~clock:(Telemetry.Clock.virtual_ ()) ();
+  let none = Sta.endpoint_pairs ~skip:(fun _ _ _ -> true) ~timing ~clock_period_ps nl in
+  let snap' = Telemetry.snapshot () in
+  Telemetry.disable ();
+  let counter' name =
+    match
+      List.find_opt (fun c -> c.Telemetry.Counter.c_name = name) snap'.Telemetry.ss_counters
+    with
+    | Some c -> c.Telemetry.Counter.c_value
+    | None -> 0
+  in
+  Alcotest.(check int) "all skipped: no pairs" 0 (List.length none);
+  Alcotest.(check int) "all skipped: no cone" 0 (counter' "sta.cone_nets");
+  Alcotest.(check int) "all skipped: no delay fill" 0 (counter' "sta.delay_fills")
+
+(* A timing callback that itself runs the analysis (on another netlist)
+   must not disturb the query it is called from. *)
+let test_reentrant_callback () =
+  let nl = Alu.netlist ~width:8 () in
+  let base = aged_sp 0.3 in
+  let timing =
+    {
+      base with
+      Sta.cell_delay =
+        (fun c ->
+          ignore (Sta.endpoint_pairs ~timing:flat_clock ~clock_period_ps:850.0 adder);
+          base.Sta.cell_delay c);
+    }
+  in
+  match differential ~path_pairs:(`Every 11) ~constrain_inputs:false ~timing ~clock_period_ps:1300.0 nl with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg
+
+
 let () =
   Alcotest.run "sta"
     [
@@ -362,4 +670,12 @@ let () =
             test_skip_drops_only_skipped_pairs;
         ] );
       ("properties", [ prop_paths_within_bounds; prop_monte_carlo_paths_bounded ]);
+      ( "compiled core",
+        [
+          prop_core_matches_oracle;
+          Alcotest.test_case "alu16 and fpu16 aged corner vs oracle" `Quick
+            test_core_matches_oracle_fixed;
+          Alcotest.test_case "sweep allocation and counters" `Quick test_sweep_allocation;
+          Alcotest.test_case "re-entrant timing callback" `Quick test_reentrant_callback;
+        ] );
     ]
